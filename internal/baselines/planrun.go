@@ -87,9 +87,7 @@ func (e *planEnv) Issue(op *plan.Op, deps []*sim.Signal) *sim.Signal {
 		// No device pool here: buffer ops and joins are pure ordering
 		// points, but executing them keeps the validated plan and the
 		// executed schedule the same object.
-		sig := sim.NewSignal(e.eng)
-		sim.WaitAll(e.eng, deps, sig.Fire)
-		return sig
+		return sim.Join(e.eng, deps)
 	default:
 		if e.err == nil {
 			e.err = fmt.Errorf("baselines: op kind %s unsupported by the explicit-duration environment", op.Kind)

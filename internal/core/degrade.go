@@ -158,34 +158,52 @@ func (r *iterRun) observeCopy(name string, nominal, start, end, delayed sim.Time
 	}
 }
 
-// submitWithRetry issues a transfer on res unless its fault target is
-// inside a blackout window; then it backs off exponentially in virtual
-// time and reissues. After MaxRetries the transfer is forced through.
-func (r *iterRun) submitWithRetry(res *sim.Resource, tg fault.Target, dur sim.Time, done func(start, end, delayed sim.Time)) {
+// degradedCopy is one PCIe copy issued in degraded mode: once its
+// dependencies fire it claims the copy engine unless its fault target
+// is inside a blackout window; then it backs off exponentially in
+// virtual time and reissues. After MaxRetries the transfer is forced
+// through. Its observed time, backoff included, feeds the adaptive
+// re-solve.
+type degradedCopy struct {
+	r       *iterRun
+	res     *sim.Resource
+	tg      fault.Target
+	name    string
+	dur     sim.Time
+	record  func(start, end sim.Time) // trace and metrics recorder, or nil
+	sig     *sim.Signal               // fired at completion
+	try     int
+	delayed sim.Time // accumulated retry backoff
+}
+
+func (c *degradedCopy) attempt() {
+	r := c.r
 	eng := r.machine.Eng
-	var attempt func(try int, delayed sim.Time)
-	attempt = func(try int, delayed sim.Time) {
-		now := eng.Now()
-		if _, dropped := r.inj.DropUntil(tg, now); dropped && try < r.adapt.MaxRetries {
-			r.retries++
-			if mc := r.e.Metrics; mc != nil {
-				mc.CountRetry()
-			}
-			shift := try
-			if shift > 16 {
-				shift = 16
-			}
-			backoff := r.adapt.RetryBackoff << uint(shift)
-			if r.faultTr != nil {
-				r.faultTr.Add(trace.Span{Track: faultTrack, Name: fmt.Sprintf("%s retry %d", tg, try+1),
-					Kind: trace.KindFault, Layer: -1, Start: now, End: now + backoff})
-			}
-			eng.Schedule(backoff, func() { attempt(try+1, delayed+backoff) })
-			return
+	now := eng.Now()
+	if _, dropped := r.inj.DropUntil(c.tg, now); dropped && c.try < r.adapt.MaxRetries {
+		r.retries++
+		if mc := r.e.Metrics; mc != nil {
+			mc.CountRetry()
 		}
-		res.Submit(dur, func(start, end sim.Time) { done(start, end, delayed) })
+		backoff := r.adapt.RetryBackoff << uint(min(c.try, 16))
+		if r.faultTr != nil {
+			r.faultTr.Add(trace.Span{Track: faultTrack, Name: fmt.Sprintf("%s retry %d", c.tg, c.try+1),
+				Kind: trace.KindFault, Layer: -1, Start: now, End: now + backoff})
+		}
+		c.try++
+		c.delayed += backoff
+		eng.Schedule(backoff, c.attempt)
+		return
 	}
-	attempt(0, 0)
+	c.res.Submit(c.dur, c.complete)
+}
+
+func (c *degradedCopy) complete(start, end sim.Time) {
+	c.r.observeCopy(c.name, c.dur, start, end, c.delayed)
+	if c.record != nil {
+		c.record(start, end)
+	}
+	c.sig.Fire()
 }
 
 // adaptWindow runs at each iteration boundary in degraded mode: if the

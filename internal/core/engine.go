@@ -713,56 +713,49 @@ func (r *iterRun) copyOp(deps []*sim.Signal, tr *trace.Trace, name string, layer
 		// implicit synchronization (§III-E3).
 		extra = sim.Time(tensorsPerLayer) * sim.Time(r.e.Model.Plat.AllocOpNS)
 	}
-	var sig *sim.Signal
-	done := func(start, end sim.Time) {
-		if tr != nil {
-			kind := trace.KindD2H
-			track := "pcie-d2h"
-			if h2d {
-				kind, track = trace.KindH2D, "pcie-h2d"
-			}
-			tr.Add(trace.Span{Track: track, Name: name, Kind: kind, Layer: layer, Start: start, End: end})
-		}
-		if mc := r.e.Metrics; mc != nil {
-			// Core issues its PCIe copies on the raw queues rather than
-			// through the machine's Copy helpers, so the byte accounting
-			// the machine-level TransferObserver would do happens here.
-			channel := "pcie.d2h"
-			if h2d {
-				channel = "pcie.h2d"
-			}
-			mc.Transfer(channel, bytes, start, end)
-		}
-	}
-	eng := r.machine.Eng
 	res := r.machine.D2H
 	if h2d {
 		res = r.machine.H2D
 	}
 	dur := r.machine.Spec.AsyncCallNS + extra + r.copyDur(bytes, pinned)
-	sig = sim.NewSignal(eng)
-	sim.WaitAll(eng, deps, func() {
-		if r.inj == nil {
-			res.Submit(dur, func(start, end sim.Time) {
-				done(start, end)
-				sig.Fire()
-			})
-			return
+	done := r.copyRecorder(tr, name, layer, h2d, bytes)
+	if r.inj == nil {
+		return res.SubmitAfter(deps, dur, done)
+	}
+	// Degraded mode: the copy may hit a blackout window and retry.
+	tg := fault.D2H
+	if h2d {
+		tg = fault.H2D
+	}
+	eng := r.machine.Eng
+	c := &degradedCopy{r: r, res: res, tg: tg, name: name, dur: dur, record: done, sig: sim.NewSignal(eng)}
+	sim.WaitAll(eng, deps, c.attempt)
+	return c.sig
+}
+
+// copyRecorder returns the completion callback recording a copy's span
+// to the trace and its bytes to the metrics collector, or nil when
+// neither is installed.
+func (r *iterRun) copyRecorder(tr *trace.Trace, name string, layer int, h2d bool, bytes int64) func(start, end sim.Time) {
+	mc := r.e.Metrics
+	if tr == nil && mc == nil {
+		return nil
+	}
+	kind, track, channel := trace.KindD2H, "pcie-d2h", "pcie.d2h"
+	if h2d {
+		kind, track, channel = trace.KindH2D, "pcie-h2d", "pcie.h2d"
+	}
+	return func(start, end sim.Time) {
+		if tr != nil {
+			tr.Add(trace.Span{Track: track, Name: name, Kind: kind, Layer: layer, Start: start, End: end})
 		}
-		// Degraded mode: the copy may hit a blackout window and retry
-		// with virtual-time backoff; its observed time feeds the
-		// adaptive re-solve.
-		tg := fault.D2H
-		if h2d {
-			tg = fault.H2D
+		if mc != nil {
+			// Core issues its PCIe copies on the raw queues rather than
+			// through the machine's Copy helpers, so the byte accounting
+			// the machine-level TransferObserver would do happens here.
+			mc.Transfer(channel, bytes, start, end)
 		}
-		r.submitWithRetry(res, tg, dur, func(start, end, delayed sim.Time) {
-			r.observeCopy(name, dur, start, end, delayed)
-			done(start, end)
-			sig.Fire()
-		})
-	})
-	return sig
+	}
 }
 
 func (r *iterRun) copyDur(bytes int64, pinned bool) sim.Time {
@@ -882,22 +875,20 @@ func (ev *schedEnv) Issue(op *plan.Op, deps []*sim.Signal) *sim.Signal {
 		}
 		return r.machine.NVMeRead(op.Bytes, deps)
 	case plan.BufAcquire:
+		// The buffer claim runs as the joined signal's first waiter:
+		// before anything that waits on the op.
 		layer := op.Layer
-		sig := sim.NewSignal(eng)
-		sim.WaitAll(eng, deps, func() {
+		sig := sim.Join(eng, deps)
+		sig.Wait(func() {
 			if err := r.acquireLayer(layer); err != nil && r.schedErr == nil {
 				r.schedErr = err
 			}
-			sig.Fire()
 		})
 		return sig
 	case plan.BufRelease:
 		layer := op.Layer
-		sig := sim.NewSignal(eng)
-		sim.WaitAll(eng, deps, func() {
-			r.releaseLayer(layer)
-			sig.Fire()
-		})
+		sig := sim.Join(eng, deps)
+		sig.Wait(func() { r.releaseLayer(layer) })
 		return sig
 	case plan.Join:
 		return joinSignals(eng, deps)
@@ -908,40 +899,44 @@ func (ev *schedEnv) Issue(op *plan.Op, deps []*sim.Signal) *sim.Signal {
 	return sim.FiredSignal(eng)
 }
 
-// kernel launches flops of work on a stream and records its span.
+// kernel launches flops of work on a stream and records its span when
+// tracing.
 func (r *iterRun) kernel(s *hw.Stream, flops float64, deps []*sim.Signal, name string, layer int, kind trace.Kind, tr *trace.Trace) *sim.Signal {
-	return s.Launch(flops, r.util, deps, func(start, end sim.Time) {
-		if tr != nil {
+	var onDone func(start, end sim.Time)
+	if tr != nil {
+		onDone = func(start, end sim.Time) {
 			tr.Add(trace.Span{Track: s.Name(), Name: name, Kind: kind, Layer: layer, Start: start, End: end})
 		}
-	})
+	}
+	return s.Launch(flops, r.util, deps, onDone)
 }
 
 // cpuOpt submits one layer's Adam update to the optimizer pool (or the
 // single serialized optimizer when §III-E1 is off).
 func (r *iterRun) cpuOpt(name string, layer int, dur sim.Time, deps []*sim.Signal, tr *trace.Trace) *sim.Signal {
 	eng := r.machine.Eng
-	sig := sim.NewSignal(eng)
-	record := func(start, end sim.Time) {
-		if tr != nil {
-			tr.Add(trace.Span{Track: "cpu-opt", Name: name, Kind: trace.KindOptimize, Layer: layer, Start: start, End: end})
-		}
-		if mc := r.e.Metrics; mc != nil {
-			mc.OptDone(end)
-		}
-		sig.Fire()
+	mc := r.e.Metrics
+	if mc != nil {
+		// The backlog counts the update in when its dependencies
+		// resolve. Armed on the same deps just before the submission,
+		// this join wakes immediately ahead of it.
+		sim.WaitAll(eng, deps, func() { mc.OptQueued(eng.Now()) })
 	}
-	sim.WaitAll(eng, deps, func() {
-		if mc := r.e.Metrics; mc != nil {
-			mc.OptQueued(eng.Now())
+	var done func(start, end sim.Time)
+	if tr != nil || mc != nil {
+		done = func(start, end sim.Time) {
+			if tr != nil {
+				tr.Add(trace.Span{Track: "cpu-opt", Name: name, Kind: trace.KindOptimize, Layer: layer, Start: start, End: end})
+			}
+			if mc != nil {
+				mc.OptDone(end)
+			}
 		}
-		if r.singleOpt != nil {
-			r.singleOpt.Submit(dur, record)
-		} else {
-			r.machine.CPUPool.Submit(dur, record)
-		}
-	})
-	return sig
+	}
+	if r.singleOpt != nil {
+		return r.singleOpt.SubmitAfter(deps, dur, done)
+	}
+	return r.machine.CPUPool.SubmitAfter(deps, dur, done)
 }
 
 // gpuOptFlops converts the HBM-bound resident-layer update into
@@ -965,7 +960,5 @@ func joinSignals(eng *sim.Engine, sigs []*sim.Signal) *sim.Signal {
 	if len(sigs) == 1 {
 		return sigs[0]
 	}
-	out := sim.NewSignal(eng)
-	sim.WaitAll(eng, sigs, out.Fire)
-	return out
+	return sim.Join(eng, sigs)
 }

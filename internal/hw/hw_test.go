@@ -249,3 +249,26 @@ func TestComputeAndCopyOverlap(t *testing.T) {
 		t.Fatalf("compute and copy serialized: total %vs", got)
 	}
 }
+
+// TestZeroWorkKernelFiresAfterArrival: a kernel with no work drains
+// inside its own arrival on the SM array. Its signal fires only once
+// that arrival returns — after the processor has rescheduled the
+// kernels still running — so its waiters see the same event queue
+// whatever the work size.
+func TestZeroWorkKernelFiresAfterArrival(t *testing.T) {
+	eng, m := newTestMachine(t)
+	long := m.NewStream("w0").Launch(15.7e12, 0.5, nil, nil)
+	var pending, active int
+	m.NewStream("w1").Launch(0, 0.5, nil, nil).Wait(func() {
+		pending, active = eng.Pending(), m.Compute.ActiveTasks()
+	})
+	eng.Run()
+	if !long.Fired() {
+		t.Fatal("long kernel did not complete")
+	}
+	// The long kernel's arrival wake (superseded) and the wake booked by
+	// the zero-work kernel's arrival are both queued.
+	if pending != 2 || active != 1 {
+		t.Fatalf("zero-work kernel's waiter saw %d pending events and %d active kernels, want 2 and 1", pending, active)
+	}
+}

@@ -115,11 +115,15 @@ func (m *Machine) copyDuration(bytes int64, pinned bool) sim.Time {
 // CopyH2D schedules an asynchronous host→device transfer after deps,
 // returning its completion signal. The AsyncCallNS launch overhead
 // (the paper's t_async) is charged on the engine occupancy.
+//
+//vet:hotpath
 func (m *Machine) CopyH2D(bytes int64, pinned bool, deps []*sim.Signal) *sim.Signal {
 	return m.H2D.SubmitAfter(deps, m.Spec.AsyncCallNS+m.copyDuration(bytes, pinned), m.xferDone("pcie.h2d", bytes))
 }
 
 // CopyD2H schedules an asynchronous device→host transfer after deps.
+//
+//vet:hotpath
 func (m *Machine) CopyD2H(bytes int64, pinned bool, deps []*sim.Signal) *sim.Signal {
 	return m.D2H.SubmitAfter(deps, m.Spec.AsyncCallNS+m.copyDuration(bytes, pinned), m.xferDone("pcie.d2h", bytes))
 }
@@ -193,22 +197,17 @@ func (s *Stream) Name() string { return s.name }
 // Launch enqueues a kernel of the given work (FLOPs) whose consumption
 // is capped at utilization·peak — the fraction of the SM array a kernel
 // from this worker's batch shape can occupy. The kernel starts after
-// the previous kernel on this stream and all deps complete. onDone, if
-// non-nil, observes the kernel's span.
+// the previous kernel on this stream and all deps complete, plus the
+// launch overhead. onDone, if non-nil, observes the kernel's span.
+//
+//vet:hotpath
 func (s *Stream) Launch(flops, utilization float64, deps []*sim.Signal, onDone func(start, end sim.Time)) *sim.Signal {
 	if utilization <= 0 || utilization > 1 {
 		panic(fmt.Sprintf("hw: stream %s got utilization %v outside (0,1]", s.name, utilization))
 	}
-	allDeps := append([]*sim.Signal{s.tail}, deps...)
-	launch := sim.Time(s.m.Spec.KernelLaunchNS)
-	sig := sim.NewSignal(s.m.Eng)
-	sim.WaitAll(s.m.Eng, allDeps, func() {
-		s.m.Eng.SchedulePart(s.m.Compute.Partition(), launch, func() {
-			s.m.Compute.Submit(flops, utilization*s.m.Spec.GPU.PeakFlops, nil, onDone).Wait(sig.Fire)
-		})
-	})
-	s.tail = sig
-	return sig
+	s.tail = s.m.Compute.Launch(s.tail, deps, sim.Time(s.m.Spec.KernelLaunchNS),
+		flops, utilization*s.m.Spec.GPU.PeakFlops, onDone)
+	return s.tail
 }
 
 // Barrier returns a signal that fires when everything previously

@@ -16,6 +16,11 @@ type Env interface {
 	// signals of op.Deps plus the resolved op.Ext entries, in that
 	// order, with satisfied (nil) dependencies elided. A nil return
 	// means the op completes immediately and nothing may wait on it.
+	//
+	// deps is valid only for the duration of the call: the executor
+	// reuses its backing array for the next op. An environment that
+	// needs the list later must copy it; registering waiters on the
+	// signals (sim.WaitAll, SubmitAfter, Launch) does not retain it.
 	Issue(op *Op, deps []*sim.Signal) *sim.Signal
 	// Resolve maps a cross-iteration dependency to the signal that
 	// publishes it. Returning nil means the fact already holds.
@@ -34,9 +39,10 @@ func Execute(it *Iteration, env Env) []*sim.Signal {
 
 func executeOps(ops []Op, env Env) []*sim.Signal {
 	sigs := make([]*sim.Signal, len(ops))
+	var deps []*sim.Signal // reused across ops; see Env.Issue
 	for i := range ops {
 		op := &ops[i]
-		deps := make([]*sim.Signal, 0, len(op.Deps)+len(op.Ext))
+		deps = deps[:0]
 		for _, d := range op.Deps {
 			if s := sigs[d]; s != nil {
 				deps = append(deps, s)

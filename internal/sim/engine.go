@@ -18,11 +18,11 @@ import (
 // Time is a virtual timestamp in nanoseconds since simulation start.
 type Time = int64
 
-// event is a scheduled callback.
+// event is a scheduled waiter: a callback or a task record.
 type event struct {
 	at  Time
 	seq uint64 // tie-breaker preserving schedule order
-	fn  func()
+	w   waiter
 }
 
 // eventHeap is a hand-rolled binary min-heap of event values ordered by
@@ -63,7 +63,7 @@ func (h *eventHeap) pop() event {
 	last := len(q) - 1
 	top := q[0]
 	q[0] = q[last]
-	q[last].fn = nil // release the callback for GC
+	q[last].w = nil // release the waiter for GC
 	q = q[:last]
 	*h = q
 	i := 0
@@ -95,6 +95,7 @@ type Engine struct {
 	seq     uint64
 	pending eventHeap
 	steps   uint64
+	running uint64   // admission seq of the executing event
 	obs     Observer // instrumentation tap; nil = observation off
 
 	// route, when non-nil, receives every admitted event instead of the
@@ -162,16 +163,36 @@ func (e *Engine) At(t Time, fn func()) { e.AtPart(0, t, fn) }
 // execution order provably identical to the serial one.
 //
 //vet:hotpath
-func (e *Engine) AtPart(part int, t Time, fn func()) {
+func (e *Engine) AtPart(part int, t Time, fn func()) { e.atPart(part, t, callback(fn)) }
+
+// atPart is AtPart for any waiter: task records schedule themselves
+// here without a closure.
+func (e *Engine) atPart(part int, t Time, w waiter) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %d before now %d", t, e.now))
 	}
 	e.seq++
 	if e.route != nil {
+		e.routeWaiter(part, t, w)
+		return
+	}
+	e.pending.push(event{at: t, seq: e.seq, w: w})
+}
+
+// routeWaiter hands an admitted event to the external frontend, whose
+// queues store plain callbacks. Callbacks pass through as they are;
+// a record is wrapped in a closure that also publishes its admission
+// sequence as the running one, as the serial loop does.
+func (e *Engine) routeWaiter(part int, t Time, w waiter) {
+	if fn, ok := w.(callback); ok {
 		e.route(part, t, e.seq, fn)
 		return
 	}
-	e.pending.push(event{at: t, seq: e.seq, fn: fn})
+	seq := e.seq
+	e.route(part, t, seq, func() {
+		e.running = seq
+		w.wake()
+	})
 }
 
 // SchedulePart is Schedule with a partition affinity.
@@ -196,7 +217,8 @@ func (e *Engine) Run() Time {
 		ev := e.pending.pop()
 		e.now = ev.at
 		e.steps++
-		ev.fn()
+		e.running = ev.seq
+		ev.w.wake()
 	}
 	return e.now
 }
@@ -213,7 +235,8 @@ func (e *Engine) RunUntil(deadline Time) bool {
 		ev := e.pending.pop()
 		e.now = ev.at
 		e.steps++
-		ev.fn()
+		e.running = ev.seq
+		ev.w.wake()
 	}
 	if e.now < deadline {
 		e.now = deadline

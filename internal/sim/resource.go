@@ -77,14 +77,28 @@ func (r *Resource) Partition() int { return r.part }
 // the resource frees up (or immediately if idle) and done — which may be
 // nil — is invoked at completion with the task's start and end times.
 // Submit returns the completion time.
+//
+//vet:hotpath
 func (r *Resource) Submit(duration Time, done func(start, end Time)) Time {
+	if done == nil {
+		_, end := r.claim(duration)
+		return end
+	}
+	t := &resTask{Signal: Signal{eng: r.eng}, res: r, dur: duration, done: done}
+	return t.submit()
+}
+
+// claim books a task of the given duration on the resource at the
+// current time and returns its span: jitter and stretch applied, busy
+// accounting updated, the observer told.
+func (r *Resource) claim(duration Time) (start, end Time) {
 	if duration < 0 {
 		panic(fmt.Sprintf("sim: resource %s got negative duration %d", r.name, duration))
 	}
 	duration = r.jittered(duration)
 	submit := r.eng.Now()
-	start := max(submit, r.busyUntil)
-	end := start + duration
+	start = max(submit, r.busyUntil)
+	end = start + duration
 	if r.stretch != nil {
 		if s := r.stretch(start, duration); s > end {
 			end = s
@@ -96,28 +110,71 @@ func (r *Resource) Submit(duration Time, done func(start, end Time)) Time {
 	if o := r.eng.obs; o != nil {
 		o.ResourceTask(r.name, submit, start, end)
 	}
-	if done != nil {
-		r.eng.AtPart(r.part, end, func() { done(start, end) })
+	return start, end
+}
+
+// resTask is one dependent submission to a Resource or a Pool: the
+// completion signal it returns, its dependency countdown and its
+// completion callback in a single record. The record is its own
+// waiter — on each dependency while pending, then as the completion
+// event — so a submission allocates once however many signals it
+// waits on.
+type resTask struct {
+	Signal
+	pending int       // unfired dependencies; 0 once submitted
+	res     *Resource // the resource, or nil to pick from pool
+	pool    *Pool
+	dur     Time
+	begin   Time // span start, set at submission
+	done    func(start, end Time)
+}
+
+func (t *resTask) wake() {
+	if t.pending == 0 {
+		// The completion event.
+		if t.done != nil {
+			t.done(t.begin, t.eng.Now())
+		}
+		t.Fire()
+		return
 	}
+	if t.pending--; t.pending == 0 {
+		t.submit()
+	}
+}
+
+// submit claims the resource — picking the least-loaded pool worker
+// now that the dependencies have resolved — schedules completion and
+// returns its time.
+func (t *resTask) submit() Time {
+	res := t.res
+	if res == nil {
+		res = t.pool.pick()
+	}
+	var end Time
+	t.begin, end = res.claim(t.dur)
+	t.eng.atPart(res.part, end, t)
 	return end
+}
+
+// after arms t on deps and submits it at once when none is pending.
+func (t *resTask) after(deps []*Signal) *Signal {
+	if t.pending = arm(deps, t); t.pending == 0 {
+		t.submit()
+	}
+	return &t.Signal
 }
 
 // SubmitAfter enqueues a task that additionally waits for all deps to
 // fire before claiming the resource. FIFO order among SubmitAfter calls
 // is not guaranteed — ordering is by dependency resolution, which is how
 // CUDA streams with cross-stream events behave. It returns a Signal
-// fired at task completion.
+// fired at task completion, right after done (which may be nil).
+//
+//vet:hotpath
 func (r *Resource) SubmitAfter(deps []*Signal, duration Time, done func(start, end Time)) *Signal {
-	sig := NewSignal(r.eng)
-	WaitAll(r.eng, deps, func() {
-		r.Submit(duration, func(start, end Time) {
-			if done != nil {
-				done(start, end)
-			}
-			sig.Fire()
-		})
-	})
-	return sig
+	t := &resTask{Signal: Signal{eng: r.eng}, res: r, dur: duration, done: done}
+	return t.after(deps)
 }
 
 // BusyUntil returns the time at which all currently queued work
@@ -173,18 +230,11 @@ func (p *Pool) Submit(duration Time, done func(start, end Time)) Time {
 
 // SubmitAfter dispatches a task that first waits on deps; the worker is
 // chosen when the dependencies resolve.
+//
+//vet:hotpath
 func (p *Pool) SubmitAfter(deps []*Signal, duration Time, done func(start, end Time)) *Signal {
-	eng := p.workers[0].eng
-	sig := NewSignal(eng)
-	WaitAll(eng, deps, func() {
-		p.pick().Submit(duration, func(start, end Time) {
-			if done != nil {
-				done(start, end)
-			}
-			sig.Fire()
-		})
-	})
-	return sig
+	t := &resTask{Signal: Signal{eng: p.workers[0].eng}, pool: p, dur: duration, done: done}
+	return t.after(deps)
 }
 
 func (p *Pool) pick() *Resource {

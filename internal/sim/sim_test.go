@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -480,4 +482,64 @@ func TestResourceNegativeJitterPanics(t *testing.T) {
 		}
 	}()
 	r.SetJitter(1, -0.1)
+}
+
+// TestSharedProcessorReentrantSubmit: completion waiters that submit new
+// work to the same processor synchronously re-enter reschedule while
+// the outer call is still firing its drained tasks. Both nested
+// arrivals must be water-filled with the survivors, and the outer call
+// must still fire every task it drained.
+func TestSharedProcessorReentrantSubmit(t *testing.T) {
+	e := NewEngine()
+	sp := NewSharedProcessor(e, "gpu", 12)
+	// Three tasks capped at 4 fill the capacity; A and A2 drain at 2s.
+	a := sp.Submit(8, 4, nil, nil)
+	a2 := sp.Submit(8, 4, nil, nil)
+	b := sp.Submit(16, 4, nil, nil)
+	rates := func() []float64 {
+		var out []float64
+		for _, t := range sp.active {
+			out = append(out, t.rate)
+		}
+		return out
+	}
+	var log []string
+	var c, d *Signal
+	a.Wait(func() {
+		// C arrives beside B (capped at 4): it takes the other 8.
+		c = sp.Submit(4, 12, nil, nil)
+		log = append(log, fmt.Sprintf("A done t=%d rates=%v", e.Now(), rates()))
+	})
+	a2.Wait(func() {
+		// D has no work: it drains inside its own nested arrival.
+		d = sp.Submit(0, 1, nil, nil)
+		d.Wait(func() { log = append(log, fmt.Sprintf("D done t=%d", e.Now())) })
+		log = append(log, fmt.Sprintf("A2 done t=%d rates=%v", e.Now(), rates()))
+	})
+	e.Run()
+	want := []string{
+		"A done t=2000000000 rates=[4 8]",
+		"D done t=2000000000",
+		"A2 done t=2000000000 rates=[4 8]",
+	}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("log %q, want %q", log, want)
+	}
+	// C: 4 units at 8/s → 2.5s. B: 8 left at 2s, 6 at 2.5s, then alone
+	// at its cap of 4 → 4s.
+	for _, tc := range []struct {
+		name string
+		sig  *Signal
+		at   Time
+	}{{"A", a, 2e9}, {"A2", a2, 2e9}, {"C", c, 2.5e9}, {"D", d, 2e9}, {"B", b, 4e9}} {
+		if !tc.sig.Fired() || tc.sig.FiredAt() != tc.at {
+			t.Errorf("%s fired=%v at %d, want %d", tc.name, tc.sig.Fired(), tc.sig.FiredAt(), tc.at)
+		}
+	}
+	// Every reschedule books a completion event and superseded ones still
+	// run: three arrivals at 0, two nested arrivals and the outer call at
+	// 2s, C's completion at 2.5s.
+	if e.Steps() != 7 || sp.ActiveTasks() != 0 || sp.Tasks() != 5 {
+		t.Errorf("steps %d active %d tasks %d, want 7, 0, 5", e.Steps(), sp.ActiveTasks(), sp.Tasks())
+	}
 }
