@@ -156,10 +156,9 @@ func TestBenchScenarioDeterministic(t *testing.T) {
 }
 
 // TestParallelSweepByteIdentical is the harness-level differential
-// gate: the full 7-scenario suite run serially and with -workers must
-// emit byte-identical BENCH documents. This covers both layers of
-// parallelism at once — scenario-level goroutines and the conservative
-// parallel sim engine inside each scenario.
+// gate: the full suite run one scenario after another and with
+// -workers, scenarios running concurrently, must emit byte-identical
+// BENCH documents.
 func TestParallelSweepByteIdentical(t *testing.T) {
 	emit := func(extra ...string) []byte {
 		args := append([]string{"-rev", "t", "-out", "-"}, extra...)
@@ -182,10 +181,9 @@ func TestParallelSweepByteIdentical(t *testing.T) {
 // TestTimingSweepWallClock runs the suite with -timing and checks the
 // wall-clock section end to end: both sweeps measured, identical
 // scenario bytes (enforced inside run), and on a multi-core machine
-// the parallel sweep at least keeps pace with the serial one. On a
-// single-CPU machine there is nothing to win — goroutines just take
-// turns — so the inequality is skipped there and enforced by the CI
-// matrix's multi-core runners.
+// the scenario-concurrent sweep at least keeps pace with the serial
+// one. On a single-CPU machine there is nothing to win — goroutines
+// just take turns — so the inequality is skipped there.
 func TestTimingSweepWallClock(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	code := run([]string{"-rev", "t", "-out", "-", "-timing", "-workers", "8"}, &stdout, &stderr)

@@ -47,7 +47,6 @@ func main() {
 	coopt := flag.Bool("coopt", false, "co-optimize window size and fractional optimizer placement (STRONGHOLD methods only)")
 	faults := flag.String("faults", "", `fault plan, e.g. "seed=7;h2d:slow(at=0s,dur=1s,every=1s,factor=0.2)" (plan-driven methods only)`)
 	noAdapt := flag.Bool("no-adapt", false, "freeze the working window under faults (disable adaptive re-solve)")
-	workers := flag.Int("workers", 0, "simulation worker goroutines (>1 = conservative parallel engine; results are byte-identical at any count; STRONGHOLD only)")
 	flag.Parse()
 
 	if *method == "list" {
@@ -76,7 +75,7 @@ func main() {
 		res, err := stronghold.Simulate(stronghold.SimConfig{
 			Layers: *layers, Hidden: *hidden, BatchSize: *batch,
 			Platform: plat, Method: m, Window: *window, CoOpt: *coopt,
-			Faults: *faults, DisableAdapt: *noAdapt, Workers: *workers,
+			Faults: *faults, DisableAdapt: *noAdapt,
 		})
 		if err != nil {
 			fatalf("%s: %v", modelcfg.MethodKey(m), err)

@@ -357,9 +357,6 @@ func DefaultAnalyzers() []*Analyzer {
 		WallClock,
 		SeedFlow,
 		ErrDrop,
-		Partition,
-		SyncScope,
-		MergePure,
 		HotAlloc,
 		Boxing,
 		DeferLoop,

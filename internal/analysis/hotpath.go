@@ -13,8 +13,7 @@ import (
 
 // This file is the hot-path allocation registry: the declarative
 // contract under which the simulator's per-event code paths are held
-// to a zero-allocation discipline. Like the concurrency-boundary
-// contract (boundary.go) it has two halves that must agree:
+// to a zero-allocation discipline. It has two halves that must agree:
 //
 //   - annotations: a `//vet:hotpath` comment in a function's doc
 //     comment or body marks that declaration as a hot path; anywhere
@@ -212,8 +211,7 @@ type HotSet struct {
 	allows map[*types.Func]map[string]string
 	// issues are the resolution and cross-check findings: unresolvable
 	// entries, registered-but-unmarked roots, marked-but-unregistered
-	// declarations. Reported by hotalloc (once), like syncscope reports
-	// the boundary registry's.
+	// declarations. Reported by hotalloc (once).
 	issues []Diagnostic
 }
 
@@ -276,8 +274,7 @@ func (m *Module) Hots() *HotSet {
 }
 
 // collectFile parses one file's //vet:hotpath markers, scoping each to
-// the enclosing declaration or to the whole file (the boundary-marker
-// convention).
+// the enclosing declaration or to the whole file.
 func (hs *HotSet) collectFile(fset *token.FileSet, pkg *Package, f *ast.File) {
 	type declSpan struct {
 		fn   *types.Func
@@ -464,4 +461,59 @@ func hotChain(g *CallGraph, fn *types.Func, reach map[*types.Func]Witness) []Rel
 		f = w.Via
 	}
 	return out
+}
+
+// recvTypeName is fn's receiver type name ("" for plain functions).
+func recvTypeName(fn *types.Func) string {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return ""
+	}
+	t := sig.Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj().Name()
+	}
+	return ""
+}
+
+// pathMatchesQual reports whether an import path is named by a
+// registry qualifier: equal, or ending in "/<qual>".
+func pathMatchesQual(path, qual string) bool {
+	return path == qual || strings.HasSuffix(path, "/"+qual)
+}
+
+// splitQualified parses `pkg.Name` / `pkg.Type.Method` (pkg may
+// contain slashes; the dots counted are those after the last slash).
+func splitQualified(s string) (qual, name, method string, ok bool) {
+	slash := strings.LastIndex(s, "/")
+	prefix, rest := "", s
+	if slash >= 0 {
+		prefix, rest = s[:slash+1], s[slash+1:]
+	}
+	parts := strings.Split(rest, ".")
+	for _, p := range parts {
+		if p == "" {
+			return "", "", "", false
+		}
+	}
+	switch len(parts) {
+	case 2:
+		return prefix + parts[0], parts[1], "", true
+	case 3:
+		return prefix + parts[0], parts[1], parts[2], true
+	}
+	return "", "", "", false
+}
+
+// fileOfNode finds the *ast.File containing a call node's declaration.
+func fileOfNode(node *CallNode) *ast.File {
+	for _, f := range node.Pkg.Files {
+		if node.Decl.Pos() >= f.Pos() && node.Decl.Pos() <= f.End() {
+			return f
+		}
+	}
+	return nil
 }

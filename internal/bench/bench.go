@@ -8,8 +8,8 @@
 //
 // Scenario results are pure functions of the revision: the simulator
 // is deterministic and each scenario builds its own engine, so the
-// suite may be executed in any order, serially or concurrently, at any
-// sim worker count, and produce the same bytes.
+// suite may be executed in any order, serially or concurrently, and
+// produce the same bytes.
 package bench
 
 import (
@@ -44,8 +44,13 @@ type Doc struct {
 	Timing *Timing `json:"timing,omitempty"`
 }
 
-// Timing is the wall-clock section: the full suite swept serially and
-// with the parallel harness (scenario-level goroutines + sim workers).
+// Timing is the wall-clock section: the suite swept serially and with
+// scenarios running concurrently, every scenario on the serial engine.
+// SerialWallNS and ParallelWallNS are the fastest of several trials of
+// each sweep over a few copies of the suite; ParallelWallNS is the
+// scenario-concurrent sweep (the field keeps its name so older BENCH
+// files still parse). Workers is the -workers value; at most
+// GOMAXPROCS scenarios (by default CPUs) are in flight at once.
 type Timing struct {
 	SerialWallNS   int64 `json:"serial_wall_ns"`
 	ParallelWallNS int64 `json:"parallel_wall_ns"`
@@ -80,12 +85,10 @@ type Scenario struct {
 }
 
 // Case is one entry of the suite: a name plus a runner producing the
-// scenario result. workers > 1 runs the simulation on the conservative
-// parallel engine; the result is byte-identical at any count (baseline
-// scenarios are closed-form and ignore it).
+// scenario result.
 type Case struct {
 	Name string
-	Run  func(workers int) Scenario
+	Run  func() Scenario
 }
 
 // iters is the simulated iteration count per scenario: enough for the
@@ -94,11 +97,10 @@ const iters = 3
 
 // strongholdScenario runs the core engine with a metrics collector and
 // distills the scenario result.
-func strongholdScenario(cfg modelcfg.Config, feat core.Features, workers int) Scenario {
+func strongholdScenario(cfg modelcfg.Config, feat core.Features) Scenario {
 	m := perf.NewModel(cfg, hw.V100Platform())
 	e := core.NewEngine(m)
 	e.Feat = feat
-	e.Workers = workers
 	mc := metrics.New()
 	e.Metrics = mc
 	tr := trace.New()
@@ -142,35 +144,35 @@ func Suite() []Case {
 	cfg1p7 := modelcfg.Config1p7B()
 	cfg4b := modelcfg.ConfigForSize(4, 2560, 1)
 	return []Case{
-		{"stronghold-1p7b", func(w int) Scenario {
-			return strongholdScenario(cfg1p7, core.DefaultFeatures(), w)
+		{"stronghold-1p7b", func() Scenario {
+			return strongholdScenario(cfg1p7, core.DefaultFeatures())
 		}},
-		{"stronghold-1p7b-multistream", func(w int) Scenario {
+		{"stronghold-1p7b-multistream", func() Scenario {
 			feat := core.DefaultFeatures()
 			feat.Streams = 2
-			return strongholdScenario(cfg1p7, feat, w)
+			return strongholdScenario(cfg1p7, feat)
 		}},
-		{"stronghold-4b", func(w int) Scenario {
-			return strongholdScenario(cfg4b, core.DefaultFeatures(), w)
+		{"stronghold-4b", func() Scenario {
+			return strongholdScenario(cfg4b, core.DefaultFeatures())
 		}},
-		{"stronghold-4b-nvme", func(w int) Scenario {
+		{"stronghold-4b-nvme", func() Scenario {
 			feat := core.DefaultFeatures()
 			feat.UseNVMe = true
-			return strongholdScenario(cfg4b, feat, w)
+			return strongholdScenario(cfg4b, feat)
 		}},
-		{"baseline-no-opt-1p7b", func(w int) Scenario {
-			return strongholdScenario(cfg1p7, core.Features{Streams: 1}, w)
+		{"baseline-no-opt-1p7b", func() Scenario {
+			return strongholdScenario(cfg1p7, core.Features{Streams: 1})
 		}},
-		{"l2l-1p7b", func(w int) Scenario {
+		{"l2l-1p7b", func() Scenario {
 			return baselineScenario(modelcfg.L2L, cfg1p7)
 		}},
-		{"zero-offload-1p7b", func(w int) Scenario {
+		{"zero-offload-1p7b", func() Scenario {
 			return baselineScenario(modelcfg.ZeROOffload, cfg1p7)
 		}},
-		{"zero-infinity-1p7b", func(w int) Scenario {
+		{"zero-infinity-1p7b", func() Scenario {
 			return baselineScenario(modelcfg.ZeROInfinity, cfg1p7)
 		}},
-		{"interleaved-opt-1p7b", func(w int) Scenario {
+		{"interleaved-opt-1p7b", func() Scenario {
 			return baselineScenario(modelcfg.InterleavedOpt, cfg1p7)
 		}},
 	}

@@ -11,7 +11,6 @@ import (
 	"stronghold/internal/perf"
 	"stronghold/internal/plan"
 	"stronghold/internal/sim"
-	"stronghold/internal/sim/parallel"
 	"stronghold/internal/trace"
 )
 
@@ -86,19 +85,6 @@ type Engine struct {
 	Faults *fault.Plan
 	// Adapt tunes degraded-mode behavior; zero value = defaults.
 	Adapt AdaptConfig
-	// Workers, when above 1, runs the simulation on the conservative
-	// parallel frontend (internal/sim/parallel): machine components are
-	// striped across that many partition queues, worker goroutines
-	// stage each partition's due events between lookahead barriers, and
-	// the merged rounds execute in the exact serial order — traces,
-	// metrics and counters are byte-for-byte identical to Workers <= 1
-	// (the differential matrix in parallel_equiv_test.go holds this).
-	Workers int
-	// Lookahead is the parallel frontend's staging window in virtual
-	// nanoseconds; 0 = parallel.DefaultLookahead. Ignored when
-	// Workers <= 1. Any positive value yields identical results — the
-	// knob only trades barrier crossings against staged-batch size.
-	Lookahead sim.Time
 	// Metrics, when non-nil, collects the run's virtual-time metrics:
 	// it is installed as the sim engine's Observer and the machine's
 	// TransferObserver, and the engine feeds it window/optimizer/fault
@@ -362,19 +348,10 @@ func (e *Engine) runSim(iters int, tr *trace.Trace) (perf.IterationResult, *iter
 		}
 	}
 	eng := sim.NewEngine()
-	if e.Workers > 1 {
-		// Install the parallel frontend before anything is scheduled
-		// (sim.SetFrontend enforces the ordering) and stripe the machine's
-		// components across the partition queues.
-		parallel.Attach(eng, parallel.Options{Workers: e.Workers, Lookahead: e.Lookahead})
-	}
 	machine, err := hw.NewMachine(eng, plat, min(fp.Host, plat.CPU.UsableMemBytes-1))
 	if err != nil {
 		res.OOM, res.OOMDetail = true, err.Error()
 		return res, nil
-	}
-	if e.Workers > 1 {
-		machine.AssignPartitions(e.Workers)
 	}
 	if e.TransferJitter > 0 {
 		machine.H2D.SetJitter(1, e.TransferJitter)

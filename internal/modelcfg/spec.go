@@ -45,10 +45,24 @@ func (s ConfigSpec) Canonical() ConfigSpec {
 	return s
 }
 
+// Ceilings on a resolved config. Per-layer profiles, schedules and
+// simulations grow with the model, so Resolve rejects anything larger
+// before a caller allocates in proportion to it: one request for a
+// 10^18-parameter model would otherwise exhaust the process's memory.
+// Each ceiling sits well above every config the evaluation reaches.
+// The largest trainable model (STRONGHOLD-NVMe on the A10 cluster,
+// 1099.5 B) resolves to 13,974 layers at hidden 2560, Table I's widest
+// row has hidden 13312, and the largest batch in use is 64.
+const (
+	MaxLayers    = 1 << 15
+	MaxHidden    = 1 << 16
+	MaxBatchSize = 1 << 12
+)
+
 // Resolve canonicalizes the spec and builds the validated Config, with
 // the paper's 16 attention heads. Negative or non-finite fields are
 // rejected rather than treated as unset — the spec decodes untrusted
-// request JSON.
+// request JSON — and so is a config past the ceilings above.
 func (s ConfigSpec) Resolve() (Config, error) {
 	if s.Layers < 0 || s.Hidden < 0 || s.BatchSize < 0 || s.ModelParallel < 0 ||
 		s.SizeBillions < 0 || math.IsNaN(s.SizeBillions) || math.IsInf(s.SizeBillions, 0) {
@@ -61,11 +75,24 @@ func (s ConfigSpec) Resolve() (Config, error) {
 		cfg = NewConfig(s.Layers, s.Hidden, 16)
 		cfg.ModelParallel = s.ModelParallel
 	case s.SizeBillions > 0:
+		// ConfigForSize's parameter count is an int64; a size past it
+		// is past the layer ceiling at any width.
+		if s.SizeBillions*1e9 >= math.MaxInt64 {
+			return Config{}, fmt.Errorf("modelcfg: %g B model exceeds the %d-layer ceiling", s.SizeBillions, MaxLayers)
+		}
 		cfg = ConfigForSize(s.SizeBillions, s.Hidden, s.ModelParallel)
 	default:
 		return Config{}, fmt.Errorf("modelcfg: config spec needs SizeBillions or Layers")
 	}
 	cfg.BatchSize = s.BatchSize
+	switch {
+	case cfg.Layers > MaxLayers:
+		return Config{}, fmt.Errorf("modelcfg: %d layers exceeds the ceiling of %d", cfg.Layers, MaxLayers)
+	case cfg.Hidden > MaxHidden:
+		return Config{}, fmt.Errorf("modelcfg: hidden size %d exceeds the ceiling of %d", cfg.Hidden, MaxHidden)
+	case cfg.BatchSize > MaxBatchSize:
+		return Config{}, fmt.Errorf("modelcfg: batch size %d exceeds the ceiling of %d", cfg.BatchSize, MaxBatchSize)
+	}
 	return cfg, cfg.Validate()
 }
 

@@ -59,6 +59,37 @@ func TestConfigSpecResolve(t *testing.T) {
 	}
 }
 
+// TestConfigSpecCeilings: the largest legitimate configs resolve, and
+// anything past a ceiling errors before it can be built.
+func TestConfigSpecCeilings(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec ConfigSpec
+		ok   bool
+	}{
+		{"largest trainable size", ConfigSpec{SizeBillions: 1099.5}, true},
+		{"widest table I row", ConfigSpec{Layers: 31, Hidden: 13312, ModelParallel: 8}, true},
+		{"deepest table I row", ConfigSpec{Layers: 1676, Hidden: 5120, ModelParallel: 8}, true},
+		{"largest batch in use", ConfigSpec{Layers: 20, BatchSize: 64}, true},
+		{"layers at ceiling", ConfigSpec{Layers: MaxLayers}, true},
+		{"hidden at ceiling", ConfigSpec{Layers: 1, Hidden: MaxHidden}, true},
+		{"batch at ceiling", ConfigSpec{Layers: 1, BatchSize: MaxBatchSize}, true},
+		{"billion-billion size", ConfigSpec{SizeBillions: 1e9}, false},
+		{"int64-overflowing size", ConfigSpec{SizeBillions: 1e300}, false},
+		{"layers past ceiling", ConfigSpec{Layers: MaxLayers + 1}, false},
+		{"hidden past ceiling", ConfigSpec{Layers: 1, Hidden: MaxHidden + 16}, false},
+		{"batch past ceiling", ConfigSpec{Layers: 1, BatchSize: MaxBatchSize + 1}, false},
+	} {
+		cfg, err := tc.spec.Resolve()
+		if tc.ok && err != nil {
+			t.Errorf("%s: %+v did not resolve: %v", tc.name, tc.spec, err)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("%s: %+v resolved to %+v, want a ceiling error", tc.name, tc.spec, cfg)
+		}
+	}
+}
+
 // TestMethodSummaries pins the wire form of the registry: one row per
 // method in display order, engine names rendered, decision variables
 // carried through.

@@ -86,10 +86,7 @@ func (h *eventHeap) pop() event {
 
 // Engine owns the virtual clock and the pending-event queue.
 // It is not safe for concurrent use: the entire simulation runs on the
-// calling goroutine, which is what makes it deterministic. A Frontend
-// (see SetFrontend) may replace the run loop with an external
-// scheduler — sim/parallel's conservative engine — but event callbacks
-// still execute one at a time, on the goroutine driving the frontend.
+// calling goroutine, which is what makes it deterministic.
 type Engine struct {
 	now     Time
 	seq     uint64
@@ -97,39 +94,6 @@ type Engine struct {
 	steps   uint64
 	running uint64   // admission seq of the executing event
 	obs     Observer // instrumentation tap; nil = observation off
-
-	// route, when non-nil, receives every admitted event instead of the
-	// local heap: (partition affinity, due time, global admission
-	// sequence, callback). Installed together with frontend.
-	route func(part int, at Time, seq uint64, fn func())
-	// frontend, when non-nil, is the external run loop Run/RunUntil
-	// delegate to.
-	frontend Frontend
-}
-
-// Frontend is an external run loop that owns event storage and
-// ordering once installed via SetFrontend. It must execute events
-// through Dispatch so the clock and step counter advance exactly as
-// the serial loop would.
-type Frontend interface {
-	Run() Time
-	RunUntil(deadline Time) bool
-	Pending() int
-}
-
-// SetFrontend installs an external scheduler: route receives every
-// subsequently admitted event, and Run/RunUntil delegate to f. It must
-// be called before any event is scheduled — the engine does not
-// migrate an already-populated heap.
-func (e *Engine) SetFrontend(f Frontend, route func(part int, at Time, seq uint64, fn func())) {
-	if len(e.pending) != 0 {
-		panic("sim: SetFrontend after events were scheduled")
-	}
-	if e.frontend != nil {
-		panic("sim: frontend already installed")
-	}
-	e.frontend = f
-	e.route = route
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -149,60 +113,19 @@ func (e *Engine) Schedule(delay Time, fn func()) {
 	e.At(e.now+delay, fn)
 }
 
-// At enqueues fn to run at absolute virtual time t (>= Now) on the
-// default partition 0.
+// At enqueues fn to run at absolute virtual time t (>= Now).
 //
 //vet:hotpath
-func (e *Engine) At(t Time, fn func()) { e.AtPart(0, t, fn) }
+func (e *Engine) At(t Time, fn func()) { e.at(t, callback(fn)) }
 
-// AtPart enqueues fn to run at absolute virtual time t (>= Now) with a
-// partition affinity. Serially the affinity is ignored; under a
-// parallel frontend it names the partition queue the event is staged
-// on between barrier rounds. The global admission sequence stamped
-// here is the same in both modes, which is what makes the parallel
-// execution order provably identical to the serial one.
-//
-//vet:hotpath
-func (e *Engine) AtPart(part int, t Time, fn func()) { e.atPart(part, t, callback(fn)) }
-
-// atPart is AtPart for any waiter: task records schedule themselves
-// here without a closure.
-func (e *Engine) atPart(part int, t Time, w waiter) {
+// at is At for any waiter: task records schedule themselves here
+// without a closure.
+func (e *Engine) at(t Time, w waiter) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %d before now %d", t, e.now))
 	}
 	e.seq++
-	if e.route != nil {
-		e.routeWaiter(part, t, w)
-		return
-	}
 	e.pending.push(event{at: t, seq: e.seq, w: w})
-}
-
-// routeWaiter hands an admitted event to the external frontend, whose
-// queues store plain callbacks. Callbacks pass through as they are;
-// a record is wrapped in a closure that also publishes its admission
-// sequence as the running one, as the serial loop does.
-func (e *Engine) routeWaiter(part int, t Time, w waiter) {
-	if fn, ok := w.(callback); ok {
-		e.route(part, t, e.seq, fn)
-		return
-	}
-	seq := e.seq
-	e.route(part, t, seq, func() {
-		e.running = seq
-		w.wake()
-	})
-}
-
-// SchedulePart is Schedule with a partition affinity.
-//
-//vet:hotpath
-func (e *Engine) SchedulePart(part int, delay Time, fn func()) {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", delay))
-	}
-	e.AtPart(part, e.now+delay, fn)
 }
 
 // Run executes events in timestamp order until the queue drains,
@@ -210,9 +133,6 @@ func (e *Engine) SchedulePart(part int, delay Time, fn func()) {
 //
 //vet:hotpath
 func (e *Engine) Run() Time {
-	if e.frontend != nil {
-		return e.frontend.Run()
-	}
 	for len(e.pending) > 0 {
 		ev := e.pending.pop()
 		e.now = ev.at
@@ -228,9 +148,6 @@ func (e *Engine) Run() Time {
 //
 //vet:hotpath
 func (e *Engine) RunUntil(deadline Time) bool {
-	if e.frontend != nil {
-		return e.frontend.RunUntil(deadline)
-	}
 	for len(e.pending) > 0 && e.pending[0].at <= deadline {
 		ev := e.pending.pop()
 		e.now = ev.at
@@ -244,41 +161,12 @@ func (e *Engine) RunUntil(deadline Time) bool {
 	return len(e.pending) == 0
 }
 
-// Dispatch executes one externally stored event as the serial loop
-// would: advance the clock to its due time, count the step, run the
-// callback. It is the frontend's execution primitive; calling it from
-// anywhere else breaks the engine's ordering contract.
-//
-//vet:hotpath
-func (e *Engine) Dispatch(at Time, fn func()) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: dispatching at %d before now %d", at, e.now))
-	}
-	e.now = at
-	e.steps++
-	fn()
-}
-
-// AdvanceClock moves the clock forward to t without executing anything
-// — the frontend's analogue of RunUntil's final clock adjustment.
-// Times in the past are ignored.
-func (e *Engine) AdvanceClock(t Time) {
-	if t > e.now {
-		e.now = t
-	}
-}
-
 // Steps returns the number of events executed so far (a determinism and
 // progress diagnostic).
 func (e *Engine) Steps() uint64 { return e.steps }
 
 // Pending returns the number of queued events.
-func (e *Engine) Pending() int {
-	if e.frontend != nil {
-		return e.frontend.Pending()
-	}
-	return len(e.pending)
-}
+func (e *Engine) Pending() int { return len(e.pending) }
 
 // Seconds converts a virtual duration to float seconds.
 func Seconds(d Time) float64 { return float64(d) / float64(time.Second) }

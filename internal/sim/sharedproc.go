@@ -18,7 +18,6 @@ import (
 type SharedProcessor struct {
 	eng        *Engine
 	name       string
-	part       int     // partition affinity for completion events
 	capacity   float64 // work units per second (e.g. FLOP/s)
 	active     []*spTask
 	finished   []*spTask // completion scratch, used as a stack by nested reschedules
@@ -57,13 +56,6 @@ func NewSharedProcessor(eng *Engine, name string, capacity float64) *SharedProce
 
 // Capacity returns the processor's total rate.
 func (sp *SharedProcessor) Capacity() float64 { return sp.capacity }
-
-// SetPartition assigns the partition this processor's completion
-// events are staged on under a parallel frontend (default 0).
-func (sp *SharedProcessor) SetPartition(id int) { sp.part = id }
-
-// Partition returns the processor's partition affinity.
-func (sp *SharedProcessor) Partition() int { return sp.part }
 
 // ActiveTasks returns the number of currently running tasks.
 func (sp *SharedProcessor) ActiveTasks() int { return len(sp.active) }
@@ -133,7 +125,7 @@ func (sp *SharedProcessor) arrive(t *spTask) {
 		d := t.latency
 		t.latency = -1
 		t.hold = true
-		sp.eng.atPart(sp.part, sp.eng.Now()+d, t)
+		sp.eng.at(sp.eng.Now()+d, t)
 		return
 	}
 	sp.advance()
@@ -218,7 +210,7 @@ func (sp *SharedProcessor) reschedule() {
 		sp.wakeSeq = 0
 		return
 	}
-	sp.eng.atPart(sp.part, now+next, sp)
+	sp.eng.at(now+next, sp)
 	sp.wakeSeq = sp.eng.seq
 }
 
